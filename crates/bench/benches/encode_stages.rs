@@ -75,7 +75,7 @@ fn bench_threshold_stage(c: &mut Criterion) {
     let dim = 8192;
     let mut swar = BitSliceAccumulator::new(dim);
     for seed in 0..30 {
-        swar.absorb(&packed(seed, dim)).unwrap();
+        swar.absorb(packed(seed, dim).words());
     }
     let mut counts = vec![0i32; dim];
     let mut out = PackedHypervector::zeros(dim);

@@ -14,9 +14,37 @@
 //!    random signature `G_i` and bundled: `Σ_i G_i ∗ H_i`.
 //!
 //! Encoding is deterministic given the [`EncoderConfig::seed`].
+//!
+//! # The exact integer path
+//!
+//! Every step codeword, signature and n-gram product is bipolar (`±1`), so
+//! the window accumulator `Σ_i Σ_t G_i ∗ Π_k ρ^{n-1-k} H_{t+k}` is a sum of
+//! `±1` values: an exact integer, which the plain `f32` loop also computes
+//! exactly. [`MultiSensorEncoder::encode_window`] and
+//! [`MultiSensorEncoder::encode_batch`] therefore compute it on sign bits,
+//! 64 dimensions per word, with the kernels of [`crate::bits`]:
+//!
+//! - An `Interpolate` step codeword is `H_min` with the dimensions of the
+//!   first `k` threshold ranks switched to `H_max`, where `k` is the number
+//!   of thresholds `≤ α`. The encoder keeps a packed checkpoint codeword
+//!   every 64 ranks and applies at most 63 bit flips on top (33 KiB per
+//!   sensor at `d = 4096`). A `LevelFlip` codeword is a packed ladder
+//!   lookup.
+//! - n-grams bind by XOR under word rotation.
+//! - Bundling and the signature bind go through one
+//!   [`BitSliceAccumulator`], XOR-fusing the signature into each absorbed
+//!   product.
+//!
+//! The integer counts become `f32` and pass through the same
+//! [`vecops::normalize`] as before, so the output equals the `f32` loop bit
+//! for bit. That loop is kept, doc-hidden, as
+//! [`MultiSensorEncoder::encode_window_reference`], the oracle of the
+//! bit-exactness tests. The packed codebooks are derived from the dense
+//! ones and rebuilt by [`MultiSensorEncoder::regenerate_dims`].
 
-use smore_tensor::{parallel, Matrix};
+use smore_tensor::{parallel, vecops, Matrix};
 
+use crate::bits::{rotate_words_into, sign_words, words_for, BitSliceAccumulator, WORD_BITS};
 use crate::memory::{LevelMemory, Quantization, SignatureMemory};
 use crate::ngram::mul_shifted;
 use crate::{HdcError, Hypervector, Result};
@@ -106,6 +134,123 @@ pub struct MultiSensorEncoder {
     config: EncoderConfig,
     level_memories: Vec<LevelMemory>,
     signatures: SignatureMemory,
+    /// Sign-bit images of the codebooks above, one per sensor, for the
+    /// exact integer encode path.
+    sensor_bits: Vec<SensorBits>,
+}
+
+/// The packed codebook of one sensor (see the module docs).
+#[derive(Debug, Clone)]
+struct SensorBits {
+    codes: StepCodes,
+    /// The packed signature `G_i`.
+    signature: Vec<u64>,
+}
+
+/// Packed step codewords, `words_for(dim)` words each.
+#[derive(Debug, Clone)]
+enum StepCodes {
+    Interpolate {
+        /// The thresholds in ascending (rank) order.
+        sorted_thresholds: Vec<f32>,
+        /// The dimension switched to `H_max` at each rank.
+        rank_dims: Vec<u32>,
+        /// `H_min ⊕ H_max`: the bits a switch actually flips.
+        anchor_diff: Vec<u64>,
+        /// The codeword after every 64th rank.
+        checkpoints: Vec<u64>,
+    },
+    LevelFlip {
+        ladder: Vec<u64>,
+    },
+}
+
+impl SensorBits {
+    fn new(memory: &LevelMemory, signature: &Hypervector) -> Self {
+        let signature = sign_words(signature.as_slice());
+        if memory.mode() == Quantization::LevelFlip {
+            let ladder = memory.ladder().iter().flat_map(|l| sign_words(l.as_slice())).collect();
+            return Self { codes: StepCodes::LevelFlip { ladder }, signature };
+        }
+        let dim = memory.dim();
+        let thresholds = memory.thresholds();
+        let mut order: Vec<usize> = (0..dim).collect();
+        order.sort_by(|&a, &b| thresholds[a].total_cmp(&thresholds[b]));
+        let mut code = sign_words(memory.h_min().as_slice());
+        let anchor_diff: Vec<u64> = code
+            .iter()
+            .zip(sign_words(memory.h_max().as_slice()))
+            .map(|(lo, hi)| lo ^ hi)
+            .collect();
+        let mut checkpoints = Vec::with_capacity((dim / WORD_BITS + 1) * code.len());
+        for (rank, &d) in order.iter().enumerate() {
+            if rank % WORD_BITS == 0 {
+                checkpoints.extend_from_slice(&code);
+            }
+            code[d / WORD_BITS] ^= anchor_diff[d / WORD_BITS] & (1u64 << (d % WORD_BITS));
+        }
+        if dim.is_multiple_of(WORD_BITS) {
+            checkpoints.extend_from_slice(&code);
+        }
+        let codes = StepCodes::Interpolate {
+            sorted_thresholds: order.iter().map(|&d| thresholds[d]).collect(),
+            rank_dims: order.iter().map(|&d| d as u32).collect(),
+            anchor_diff,
+            checkpoints,
+        };
+        Self { codes, signature }
+    }
+
+    /// Writes the packed step codeword for the normalised value `alpha`
+    /// (clamped; non-finite maps to `0.5`, as in
+    /// [`LevelMemory::encode_into`]).
+    fn code_into(&self, alpha: f32, out: &mut [u64]) {
+        let nw = out.len();
+        let alpha = if alpha.is_finite() { alpha.clamp(0.0, 1.0) } else { 0.5 };
+        match &self.codes {
+            StepCodes::LevelFlip { ladder } => {
+                let levels = ladder.len() / nw;
+                let idx = ((alpha * (levels - 1) as f32).round() as usize).min(levels - 1);
+                out.copy_from_slice(&ladder[idx * nw..(idx + 1) * nw]);
+            }
+            StepCodes::Interpolate { sorted_thresholds, rank_dims, anchor_diff, checkpoints } => {
+                // Dimension d reads H_max exactly when alpha ≥ u_d: the
+                // first k ranks.
+                let k = sorted_thresholds.partition_point(|&u| u <= alpha);
+                let c = k / WORD_BITS;
+                out.copy_from_slice(&checkpoints[c * nw..(c + 1) * nw]);
+                for &d in &rank_dims[c * WORD_BITS..k] {
+                    let (w, bit) = (d as usize / WORD_BITS, d as usize % WORD_BITS);
+                    out[w] ^= anchor_diff[w] & (1u64 << bit);
+                }
+            }
+        }
+    }
+}
+
+/// Per-call buffers of the exact integer encode path.
+struct EncodeScratch {
+    /// The packed codewords of the last `n` steps, `words_for(dim)` each.
+    ring: Vec<u64>,
+    /// The n-gram product being folded.
+    prod: Vec<u64>,
+    /// Rotation buffer.
+    rot: Vec<u64>,
+    acc: BitSliceAccumulator,
+    counts: Vec<i32>,
+}
+
+impl EncodeScratch {
+    fn new(dim: usize, ngram: usize) -> Self {
+        let nw = words_for(dim);
+        Self {
+            ring: vec![0; ngram * nw],
+            prod: vec![0; nw],
+            rot: vec![0; nw],
+            acc: BitSliceAccumulator::new(dim),
+            counts: vec![0; dim],
+        }
+    }
 }
 
 impl MultiSensorEncoder {
@@ -159,7 +304,19 @@ impl MultiSensorEncoder {
             .collect::<Result<Vec<_>>>()?;
         let signatures =
             SignatureMemory::new(config.sensors, config.dim, config.seed ^ 0xC0FF_EE00)?;
-        Ok(Self { config, level_memories, signatures })
+        let sensor_bits = Self::pack_codebooks(&level_memories, &signatures)?;
+        Ok(Self { config, level_memories, signatures, sensor_bits })
+    }
+
+    fn pack_codebooks(
+        level_memories: &[LevelMemory],
+        signatures: &SignatureMemory,
+    ) -> Result<Vec<SensorBits>> {
+        level_memories
+            .iter()
+            .enumerate()
+            .map(|(s, memory)| Ok(SensorBits::new(memory, signatures.signature(s)?)))
+            .collect()
     }
 
     /// The encoder configuration.
@@ -206,19 +363,22 @@ impl MultiSensorEncoder {
     /// - [`HdcError::InvalidConfig`] when the window has fewer time steps
     ///   than the n-gram size.
     pub fn encode_window(&self, window: &Matrix) -> Result<Hypervector> {
-        let (t_total, cols) = window.shape();
-        if cols != self.config.sensors {
-            return Err(HdcError::DimensionMismatch {
-                expected: self.config.sensors,
-                actual: cols,
-            });
-        }
+        let mut scratch = EncodeScratch::new(self.config.dim, self.config.ngram);
+        let mut out = vec![0.0f32; self.config.dim];
+        self.encode_window_into(window, &mut scratch, &mut out)?;
+        Ok(Hypervector::from_vec(out))
+    }
+
+    /// The plain `f32` encode loop [`encode_window`](Self::encode_window)
+    /// replaces, kept as the oracle of the bit-exactness tests.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`encode_window`](Self::encode_window).
+    #[doc(hidden)]
+    pub fn encode_window_reference(&self, window: &Matrix) -> Result<Hypervector> {
+        self.check_window(window)?;
         let n = self.config.ngram;
-        if t_total < n {
-            return Err(HdcError::InvalidConfig {
-                what: format!("window of {t_total} steps is shorter than the n-gram size {n}"),
-            });
-        }
         let d = self.config.dim;
         let mut acc = vec![0.0f32; d];
         // Ring buffer of the last n quantised step hypervectors.
@@ -261,6 +421,8 @@ impl MultiSensorEncoder {
     }
 
     /// Encodes a batch of windows into a `(batch, dim)` matrix, in parallel.
+    /// Rows are written in place; each worker reuses one scratch across its
+    /// chunk of windows.
     ///
     /// # Errors
     ///
@@ -268,18 +430,69 @@ impl MultiSensorEncoder {
     /// (all windows must share the sensor count and satisfy the n-gram
     /// length requirement).
     pub fn encode_batch(&self, windows: &[Matrix], threads: usize) -> Result<Matrix> {
-        if windows.is_empty() {
-            return Ok(Matrix::zeros(0, self.config.dim));
-        }
-        let mut results: Vec<Result<Hypervector>> =
-            (0..windows.len()).map(|_| Ok(Hypervector::zeros(0))).collect();
-        parallel::par_map_into(windows, &mut results, threads, |w| self.encode_window(w));
-        let mut out = Matrix::zeros(windows.len(), self.config.dim);
-        for (i, r) in results.into_iter().enumerate() {
-            let hv = r?;
-            out.row_mut(i).copy_from_slice(hv.as_slice());
-        }
+        let (d, n) = (self.config.dim, self.config.ngram);
+        let mut out = Matrix::zeros(windows.len(), d);
+        let mut rows: Vec<(&mut [f32], Result<()>)> =
+            out.as_mut_slice().chunks_mut(d).map(|row| (row, Ok(()))).collect();
+        parallel::par_chunks_indexed(&mut rows, threads, |start, chunk| {
+            let mut scratch = EncodeScratch::new(d, n);
+            for (k, (row, status)) in chunk.iter_mut().enumerate() {
+                *status = self.encode_window_into(&windows[start + k], &mut scratch, row);
+            }
+        });
+        rows.into_iter().try_for_each(|(_, status)| status)?;
         Ok(out)
+    }
+
+    /// Encodes one window into `out` (`dim` long) through the exact integer
+    /// path: counts, converted to `f32`, normalised if configured.
+    fn encode_window_into(
+        &self,
+        window: &Matrix,
+        scratch: &mut EncodeScratch,
+        out: &mut [f32],
+    ) -> Result<()> {
+        self.encode_counts_into(window, scratch)?;
+        for (o, &c) in out.iter_mut().zip(&scratch.counts) {
+            *o = c as f32;
+        }
+        if self.config.normalize {
+            vecops::normalize(out);
+        }
+        Ok(())
+    }
+
+    /// The window accumulator as integer counts in `scratch.counts`: packed
+    /// step codewords, XOR-rotate n-gram binding, and bit-sliced bundling
+    /// with the sensor signature fused into each absorb.
+    fn encode_counts_into(&self, window: &Matrix, scratch: &mut EncodeScratch) -> Result<()> {
+        self.check_window(window)?;
+        let (d, n) = (self.config.dim, self.config.ngram);
+        let nw = words_for(d);
+        let EncodeScratch { ring, prod, rot, acc, counts } = scratch;
+        acc.reset();
+        for (s, bits) in self.sensor_bits.iter().enumerate() {
+            let (lo, hi) = self.sensor_range(window, s);
+            let span = hi - lo;
+            for (t, y) in window.col(s).enumerate() {
+                let alpha = if span > 1e-12 { (y - lo) / span } else { 0.5 };
+                let slot = (t % n) * nw;
+                bits.code_into(alpha, &mut ring[slot..slot + nw]);
+                if t + 1 < n {
+                    continue;
+                }
+                // n-gram ending at step t: element at step t-j gets rotation ρ^j.
+                prod.copy_from_slice(&ring[slot..slot + nw]);
+                for j in 1..n {
+                    let older = ((t - j) % n) * nw;
+                    rotate_words_into(&ring[older..older + nw], d, j, rot);
+                    prod.iter_mut().zip(rot.iter()).for_each(|(p, &r)| *p ^= r);
+                }
+                acc.absorb_bound(prod, &bits.signature);
+            }
+        }
+        acc.counts_into(counts);
+        Ok(())
     }
 
     /// Regenerates the listed dimensions of every codebook with fresh random
@@ -290,6 +503,28 @@ impl MultiSensorEncoder {
             lm.regenerate_dims(dims, seed.wrapping_add(s as u64));
         }
         self.signatures.regenerate_dims(dims, seed ^ 0xABCD);
+        // Anchors, ladder and signatures changed: repack every codeword,
+        // checkpoint and signature bit derived from them.
+        self.sensor_bits = Self::pack_codebooks(&self.level_memories, &self.signatures)
+            .expect("one signature per level memory by construction");
+    }
+
+    /// Validates the window shape shared by every encode entry point.
+    fn check_window(&self, window: &Matrix) -> Result<()> {
+        let (t_total, cols) = window.shape();
+        if cols != self.config.sensors {
+            return Err(HdcError::DimensionMismatch {
+                expected: self.config.sensors,
+                actual: cols,
+            });
+        }
+        let n = self.config.ngram;
+        if t_total < n {
+            return Err(HdcError::InvalidConfig {
+                what: format!("window of {t_total} steps is shorter than the n-gram size {n}"),
+            });
+        }
+        Ok(())
     }
 
     fn sensor_range(&self, window: &Matrix, sensor: usize) -> (f32, f32) {

@@ -10,6 +10,9 @@
 //! - [`memory`] — item, level and signature memories: the seeded random
 //!   codebooks that map raw symbols, quantised signal values and sensor
 //!   identities into hyperdimensional space.
+//! - [`bits`] — packed sign-bit kernels (word rotation, bit-sliced
+//!   counting) behind the encoder's exact integer path, shared with the
+//!   `smore_packed` serving backend.
 //! - [`encoder`] — the multi-sensor time series encoder (paper Fig. 3):
 //!   per-sensor vector quantisation, temporal n-gram binding under
 //!   permutation, sensor-signature binding and spatial bundling.
@@ -37,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bits;
 pub mod encoder;
 mod error;
 mod hypervector;

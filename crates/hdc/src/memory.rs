@@ -239,6 +239,16 @@ impl LevelMemory {
         &self.h_max
     }
 
+    /// The per-dimension `Interpolate` thresholds `u_d`.
+    pub(crate) fn thresholds(&self) -> &[f32] {
+        &self.thresholds
+    }
+
+    /// The `LevelFlip` ladder, level 0 first.
+    pub(crate) fn ladder(&self) -> &[Hypervector] {
+        &self.levels
+    }
+
     /// Encodes a normalised value `alpha ∈ [0, 1]` (clamped) to a hypervector.
     pub fn encode(&self, alpha: f32) -> Hypervector {
         let alpha = if alpha.is_finite() { alpha.clamp(0.0, 1.0) } else { 0.5 };

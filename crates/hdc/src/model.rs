@@ -214,12 +214,14 @@ impl HdcClassifier {
                 actual: samples.cols(),
             });
         }
+        let k = self.config.num_classes;
+        let cache = ClassCache::new(&self.class_hvs);
         let mut out = vec![0usize; samples.rows()];
         parallel::par_chunks_indexed(&mut out, threads, |start, chunk| {
-            for (k, o) in chunk.iter_mut().enumerate() {
-                let scores: Vec<f32> = (0..self.config.num_classes)
-                    .map(|c| vecops::cosine(samples.row(start + k), self.class_hvs.row(c)))
-                    .collect();
+            let mut scores = vec![0.0f32; k];
+            for (i, o) in chunk.iter_mut().enumerate() {
+                let x = samples.row(start + i);
+                cache.cosines_into(x, sq_norm(x), 0..k, &mut scores);
                 *o = vecops::argmax(&scores).unwrap_or(0);
             }
         });
@@ -329,6 +331,13 @@ impl HdcClassifier {
     /// followed by up to `epochs` corrective passes (early-stopping when an
     /// epoch makes no update).
     ///
+    /// The result equals [`bootstrap_one`](Self::bootstrap_one) over every
+    /// sample followed by epochs of [`update_one`](Self::update_one) and a
+    /// [`predict_one`](Self::predict_one) accuracy pass, bit for bit. The
+    /// loop caches every sample's and class's squared norm instead of
+    /// recomputing both per cosine, and scores a sample against all classes
+    /// in one class-blocked pass.
+    ///
     /// # Errors
     ///
     /// - [`HdcError::EmptyInput`] when the batch is empty.
@@ -345,26 +354,45 @@ impl HdcClassifier {
                 actual: labels.len(),
             }));
         }
+        self.check_dim(samples.row(0))?;
+        let k = self.config.num_classes;
+        let sample_sq: Vec<f64> = (0..samples.rows()).map(|i| sq_norm(samples.row(i))).collect();
+        let mut cache = ClassCache::new(&self.class_hvs);
         for (i, &label) in labels.iter().enumerate() {
-            self.bootstrap_one(samples.row(i), label)?;
+            self.check_label(label)?;
+            let x = samples.row(i);
+            let mut delta = [0.0f32];
+            cache.cosines_into(x, sample_sq[i], label..label + 1, &mut delta);
+            vecops::axpy(1.0 - delta[0], x, self.class_hvs.row_mut(label));
+            cache.refresh(label, self.class_hvs.row(label));
         }
+        let mut scores = vec![0.0f32; k];
         let mut report = FitReport::default();
         for _ in 0..self.config.epochs {
             let mut updates = 0usize;
             for (i, &label) in labels.iter().enumerate() {
-                if self.update_one(samples.row(i), label)? {
-                    updates += 1;
+                let x = samples.row(i);
+                cache.cosines_into(x, sample_sq[i], 0..k, &mut scores);
+                let predicted = vecops::argmax(&scores).unwrap_or(0);
+                if predicted == label {
+                    continue;
                 }
+                let eta = self.config.learning_rate;
+                let w_true = eta * (1.0 - scores[label]);
+                let w_pred = eta * (1.0 - scores[predicted]);
+                vecops::axpy(w_true, x, self.class_hvs.row_mut(label));
+                vecops::axpy(-w_pred, x, self.class_hvs.row_mut(predicted));
+                cache.refresh(label, self.class_hvs.row(label));
+                cache.refresh(predicted, self.class_hvs.row(predicted));
+                updates += 1;
             }
             report.epochs_run += 1;
             report.updates_per_epoch.push(updates);
-            let correct = labels
-                .iter()
-                .enumerate()
-                .filter(|&(i, &l)| {
-                    self.predict_one(samples.row(i)).map(|p| p == l).unwrap_or(false)
-                })
-                .count();
+            let mut correct = 0usize;
+            for (i, &label) in labels.iter().enumerate() {
+                cache.cosines_into(samples.row(i), sample_sq[i], 0..k, &mut scores);
+                correct += usize::from(vecops::argmax(&scores).unwrap_or(0) == label);
+            }
             report.train_accuracy.push(correct as f32 / labels.len() as f32);
             if updates == 0 {
                 break;
@@ -426,9 +454,89 @@ impl HdcClassifier {
     }
 }
 
+/// Classes scored together per sweep over the dimensions. Each has its
+/// own `f64` accumulator, so the in-order sums of a block run side by side
+/// instead of one after another.
+const CLASS_BLOCK: usize = 6;
+
+/// Squared L2 norm summed in index order in `f64` — the `na`/`nb` terms of
+/// [`vecops::cosine`], bit for bit.
+fn sq_norm(x: &[f32]) -> f64 {
+    x.iter().fold(0.0f64, |acc, &v| acc + v as f64 * v as f64)
+}
+
+/// The class hypervectors of a fit or a batch prediction, prepared for
+/// cosine scoring: widened to `f64` and interleaved [`CLASS_BLOCK`] classes
+/// at a time (`[block][dimension][class]`, the classes past the last one
+/// zero), so a sweep reads a whole block's values at one dimension from one
+/// contiguous run; plus each class's squared norm.
+struct ClassCache {
+    dim: usize,
+    blocks: Vec<f64>,
+    sq: Vec<f64>,
+}
+
+impl ClassCache {
+    fn new(classes: &Matrix) -> Self {
+        let (k, dim) = classes.shape();
+        let mut cache = Self {
+            dim,
+            blocks: vec![0.0; k.div_ceil(CLASS_BLOCK) * CLASS_BLOCK * dim],
+            sq: vec![0.0; k],
+        };
+        for c in 0..k {
+            cache.refresh(c, classes.row(c));
+        }
+        cache
+    }
+
+    /// Re-reads class `c` after its row changed.
+    fn refresh(&mut self, c: usize, row: &[f32]) {
+        self.sq[c] = sq_norm(row);
+        let block = &mut self.blocks[c / CLASS_BLOCK * CLASS_BLOCK * self.dim..];
+        for (slot, &v) in block.iter_mut().skip(c % CLASS_BLOCK).step_by(CLASS_BLOCK).zip(row) {
+            *slot = v as f64;
+        }
+    }
+
+    /// Cosine scores of sample `x` (squared norm `x_sq`) against the
+    /// classes in `range`, written to `out[c - range.start]`.
+    ///
+    /// Each score equals [`vecops::cosine`] bit for bit: every dot product
+    /// is its own `f64` accumulator summed in index order, exactly the
+    /// `dot_acc` chain of `cosine`, and the squared norms are the same
+    /// in-order sums, cached. Only the schedule differs: one sweep over the
+    /// dimensions carries a whole block of independent chains.
+    fn cosines_into(&self, x: &[f32], x_sq: f64, range: std::ops::Range<usize>, out: &mut [f32]) {
+        let d = self.dim;
+        let x = &x[..d];
+        let first = range.start / CLASS_BLOCK * CLASS_BLOCK;
+        for c0 in (first..range.end).step_by(CLASS_BLOCK) {
+            let (ys, _) = self.blocks[c0 * d..(c0 + CLASS_BLOCK) * d].as_chunks::<CLASS_BLOCK>();
+            let mut dots = [0.0f64; CLASS_BLOCK];
+            for (y, &xv) in ys.iter().zip(x) {
+                let xv = xv as f64;
+                for (dot, &yv) in dots.iter_mut().zip(y) {
+                    *dot += xv * yv;
+                }
+            }
+            for c in c0.max(range.start)..(c0 + CLASS_BLOCK).min(range.end) {
+                let (dot, nb) = (dots[c - c0], self.sq[c]);
+                out[c - range.start] = if x_sq == 0.0 || nb == 0.0 {
+                    0.0
+                } else {
+                    (dot / (x_sq.sqrt() * nb.sqrt())) as f32
+                };
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
     use smore_tensor::init;
 
     fn toy_config(dim: usize, classes: usize) -> HdcClassifierConfig {
@@ -646,6 +754,108 @@ mod tests {
         assert!(report.epochs_run >= 1);
         let acc = *report.train_accuracy.last().unwrap();
         assert!(acc > 0.9, "specialised model accuracy {acc}");
+    }
+
+    /// The per-sample training loop `fit` replaced: bootstrap, then
+    /// epochs of `update_one` plus a `predict_one` accuracy pass, every
+    /// cosine through `vecops::cosine`.
+    fn fit_reference(model: &mut HdcClassifier, samples: &Matrix, labels: &[usize]) -> FitReport {
+        for (i, &label) in labels.iter().enumerate() {
+            model.bootstrap_one(samples.row(i), label).unwrap();
+        }
+        let mut report = FitReport::default();
+        for _ in 0..model.config.epochs {
+            let mut updates = 0usize;
+            for (i, &label) in labels.iter().enumerate() {
+                if model.update_one(samples.row(i), label).unwrap() {
+                    updates += 1;
+                }
+            }
+            report.epochs_run += 1;
+            report.updates_per_epoch.push(updates);
+            let correct = labels
+                .iter()
+                .enumerate()
+                .filter(|&(i, &l)| model.predict_one(samples.row(i)).unwrap() == l)
+                .count();
+            report.train_accuracy.push(correct as f32 / labels.len() as f32);
+            if updates == 0 {
+                break;
+            }
+        }
+        report
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fit_equals_the_per_sample_loop_bit_for_bit(
+            seed in any::<u64>(),
+            class_index in 0usize..4,
+            n in 1usize..120,
+            noise in 0.2f32..3.0,
+            shared_init in prop::bool::ANY,
+            noisy_labels in prop::bool::ANY,
+        ) {
+            // Few dimensions and, half the time, random labels keep the
+            // classes from separating, so every epoch makes updates. Class
+            // 0 never gets a sample, so it stays a zero-norm class for the
+            // whole fit.
+            let classes = [1usize, 5, 7, 13][class_index];
+            let dim = 24;
+            let (samples, mut labels) = clustered(seed, n, dim, classes, noise);
+            let mut rng = init::rng(seed ^ 2);
+            if classes > 1 {
+                for l in labels.iter_mut() {
+                    let class = if noisy_labels { rng.gen_range(0..classes) } else { *l };
+                    *l = 1 + class % (classes - 1);
+                }
+            }
+            let mut config = toy_config(dim, classes);
+            config.epochs = 8;
+            let mut fast = HdcClassifier::new(config).unwrap();
+            if shared_init {
+                let mut rng = init::rng(seed ^ 1);
+                fast.class_hvs = init::normal_matrix(&mut rng, classes, dim);
+            }
+            let mut reference = fast.clone();
+            let fast_report = fast.fit(&samples, &labels).unwrap();
+            let reference_report = fit_reference(&mut reference, &samples, &labels);
+            prop_assert_eq!(fast_report, reference_report);
+            prop_assert_eq!(bits(&fast.class_hvs), bits(&reference.class_hvs));
+            prop_assert_eq!(
+                fast.predict_batch(&samples, 2).unwrap(),
+                (0..n).map(|i| reference.predict_one(samples.row(i)).unwrap()).collect::<Vec<_>>()
+            );
+        }
+
+        #[test]
+        fn class_cache_scores_equal_per_pair_cosine(
+            seed in any::<u64>(),
+            class_index in 0usize..4,
+            dim in 1usize..200,
+            zero_class in 0usize..13,
+            first in 0usize..13,
+        ) {
+            let classes = [1usize, 5, 7, 13][class_index];
+            let mut rng = init::rng(seed);
+            let mut class_hvs = init::normal_matrix(&mut rng, classes, dim);
+            // A zero-norm class (an untrained one) scores 0.
+            class_hvs.row_mut(zero_class % classes).iter_mut().for_each(|v| *v = 0.0);
+            let x = if seed.is_multiple_of(3) { vec![0.0; dim] } else { init::normal_vec(&mut rng, dim) };
+            let cache = ClassCache::new(&class_hvs);
+            let range = first % classes..classes;
+            let mut out = vec![f32::NAN; range.len()];
+            cache.cosines_into(&x, sq_norm(&x), range.clone(), &mut out);
+            for (j, c) in range.enumerate() {
+                prop_assert_eq!(out[j].to_bits(), vecops::cosine(&x, class_hvs.row(c)).to_bits());
+            }
+        }
     }
 
     #[test]

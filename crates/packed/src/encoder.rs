@@ -65,11 +65,12 @@
 
 // smore-lint: allow-file(panic_path) bit-kernel indices are all derived from words_for(dim) and exhaustively property-tested against the dense encoder
 
+use smore_hdc::bits::{rotate_words_into, words_for, BitSliceAccumulator, WORD_BITS};
 use smore_hdc::encoder::{EncoderConfig, MultiSensorEncoder, ValueRange};
 use smore_hdc::HdcError;
 use smore_tensor::{parallel, Matrix};
 
-use crate::hypervector::{rotate_words_into, words_for, BitSliceAccumulator, PackedHypervector};
+use crate::hypervector::PackedHypervector;
 use crate::Result;
 
 /// Caller-owned scratch space for the allocation-free encode path.
@@ -513,8 +514,8 @@ impl PackedNgramEncoder {
             // signed counter with a ±1 signature is sign multiplication.
             let signature = &self.signatures[s];
             for (w, &word) in signature.words().iter().enumerate() {
-                let base = w * crate::hypervector::WORD_BITS;
-                let bits = crate::hypervector::WORD_BITS.min(d - base);
+                let base = w * WORD_BITS;
+                let bits = WORD_BITS.min(d - base);
                 for b in 0..bits {
                     let sign = 1 - 2 * ((word >> b) & 1) as i32;
                     acc[base + b] += sign * sensor_counts[base + b];
@@ -635,8 +636,8 @@ fn xor_words(dst: &mut [u64], src: &[u64]) {
 #[inline]
 fn accumulate_words(counts: &mut [i32], words: &[u64], dim: usize) {
     for (w, &word) in words.iter().enumerate() {
-        let base = w * crate::hypervector::WORD_BITS;
-        let bits = crate::hypervector::WORD_BITS.min(dim - base);
+        let base = w * WORD_BITS;
+        let bits = WORD_BITS.min(dim - base);
         for b in 0..bits {
             counts[base + b] += 1 - 2 * ((word >> b) & 1) as i32;
         }

@@ -10,18 +10,10 @@
 
 // smore-lint: allow-file(panic_path) word indices are all bounded by words_for(dim); the kernels are property-tested bit-for-bit against dense arithmetic
 
+use smore_hdc::bits::{rotate_words_into, sign_words, words_for, WORD_BITS};
 use smore_hdc::{HdcError, Hypervector};
 
 use crate::Result;
-
-/// Dimensions carried per storage word.
-pub const WORD_BITS: usize = 64;
-
-/// Number of `u64` words needed for `dim` dimensions.
-#[inline]
-pub fn words_for(dim: usize) -> usize {
-    dim.div_ceil(WORD_BITS)
-}
 
 /// A sign-quantized hypervector stored as packed bits (64 dims per word).
 ///
@@ -59,13 +51,7 @@ impl PackedHypervector {
     /// (−1), everything else — positive, zero and non-finite — clears it
     /// (+1).
     pub fn from_signs(values: &[f32]) -> Self {
-        let mut out = Self::zeros(values.len());
-        for (i, &v) in values.iter().enumerate() {
-            if v < 0.0 {
-                out.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-            }
-        }
-        out
+        Self { words: sign_words(values), dim: values.len() }
     }
 
     /// Sign-quantizes a dense [`Hypervector`].
@@ -281,260 +267,6 @@ impl PackedHypervector {
     }
 }
 
-/// Rotates the `dim`-bit ring held in `src` by `k` positions into `out`
-/// (bit `i` moves to `(i + k) mod dim`), preserving the zero-padding
-/// invariant of the final word. Operates on raw word buffers so encoder
-/// scratch space can rotate without materialising [`PackedHypervector`]s.
-///
-/// # Panics
-///
-/// Panics if `src` and `out` are not both `words_for(dim)` long.
-pub(crate) fn rotate_words_into(src: &[u64], dim: usize, k: usize, out: &mut [u64]) {
-    assert_eq!(src.len(), words_for(dim), "rotate_words_into: bad source length");
-    assert_eq!(out.len(), src.len(), "rotate_words_into: bad output length");
-    if dim == 0 {
-        return;
-    }
-    let k = k % dim;
-    if k == 0 {
-        out.copy_from_slice(src);
-        return;
-    }
-    if dim.is_multiple_of(WORD_BITS) {
-        let nw = src.len();
-        let wshift = k / WORD_BITS;
-        let bshift = k % WORD_BITS;
-        if wshift == 0 {
-            // Sub-word rotation (the sliding-bind hot case, k = 1): each
-            // output word is its own word shifted up, topped up from the
-            // previous word — no index arithmetic in the loop.
-            let mut prev = src[nw - 1];
-            for (o, &cur) in out.iter_mut().zip(src) {
-                *o = (cur << bshift) | (prev >> (WORD_BITS - bshift));
-                prev = cur;
-            }
-        } else {
-            // Word-rotate fast path: output word w takes its high bits from
-            // source word (w − k/64) and its low bits from the word before.
-            for (w, o) in out.iter_mut().enumerate() {
-                let hi = src[(w + nw - wshift) % nw];
-                *o = if bshift == 0 {
-                    hi
-                } else {
-                    let lo = src[(w + nw - wshift - 1) % nw];
-                    (hi << bshift) | (lo >> (WORD_BITS - bshift))
-                };
-            }
-        }
-    } else {
-        // Ragged dimensions: bit-by-bit fallback (correctness over
-        // speed; every production dimensionality is word-aligned).
-        out.iter_mut().for_each(|w| *w = 0);
-        for i in 0..dim {
-            if (src[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1 {
-                let j = (i + k) % dim;
-                out[j / WORD_BITS] |= 1u64 << (j % WORD_BITS);
-            }
-        }
-    }
-}
-
-/// Bit-plane counters per position: `planes[w * CSA_PLANES + j]` holds bit
-/// `j` of the running 1-bit count for every dimension in word `w`. Eight
-/// planes absorb up to `2^8 − 1` words between flushes.
-const CSA_PLANES: usize = 8;
-
-/// Words absorbable before the plane counters would overflow.
-const CSA_CAPACITY: u32 = (1 << CSA_PLANES) - 1;
-
-/// Word-parallel (SWAR) majority bundling through a carry-save-adder plane
-/// stack.
-///
-/// [`PackedAccumulator`] adds a hypervector by walking its 64 bits per word
-/// and bumping one `i32` counter each — `d` sequential adds per bundled
-/// vector. `BitSliceAccumulator` instead keeps the per-dimension count of
-/// absorbed 1-bits *bit-sliced* across [`CSA_PLANES`] planes: absorbing a
-/// word is a binary increment of 64 independent counters at once (`XOR` for
-/// the sum bit, `AND` for the carry), touching on average two plane words
-/// per absorbed word — ~64× less work than per-bit counting. Once the
-/// planes near capacity (or at the end), [`flush`](Self::flush) folds them
-/// into ordinary integer counters, so arbitrarily many vectors can be
-/// bundled.
-///
-/// The counter convention matches [`PackedAccumulator`]: a `+1` bit (0)
-/// contributes `+1`, a `−1` bit (1) contributes `−1`, and ties threshold to
-/// `+1`.
-///
-/// # Example
-///
-/// ```
-/// use smore_packed::{BitSliceAccumulator, PackedAccumulator, PackedHypervector};
-///
-/// # fn main() -> Result<(), smore_hdc::HdcError> {
-/// let a = PackedHypervector::from_signs(&[1.0, 1.0, -1.0]);
-/// let b = PackedHypervector::from_signs(&[1.0, -1.0, -1.0]);
-/// let mut swar = BitSliceAccumulator::new(3);
-/// let mut reference = PackedAccumulator::new(3);
-/// for hv in [&a, &b] {
-///     swar.absorb(hv)?;
-///     reference.accumulate(hv)?;
-/// }
-/// let mut counts = vec![0i32; 3];
-/// swar.counts_into(&mut counts);
-/// assert_eq!(&counts, reference.counts());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSliceAccumulator {
-    /// Word-major plane stack: `CSA_PLANES` counter bits per storage word.
-    planes: Vec<u64>,
-    /// Flushed per-dimension totals of absorbed 1-bits.
-    ones: Vec<i32>,
-    /// Words absorbed since the last flush (bounded by [`CSA_CAPACITY`]).
-    pending: u32,
-    /// Total words absorbed since the last reset.
-    absorbed: i32,
-    dim: usize,
-}
-
-impl BitSliceAccumulator {
-    /// A zeroed accumulator of dimension `dim`.
-    pub fn new(dim: usize) -> Self {
-        Self {
-            planes: vec![0u64; words_for(dim) * CSA_PLANES],
-            ones: vec![0i32; dim],
-            pending: 0,
-            absorbed: 0,
-            dim,
-        }
-    }
-
-    /// Dimensionality of the accumulator.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of hypervectors absorbed since the last reset.
-    pub fn absorbed(&self) -> i32 {
-        self.absorbed
-    }
-
-    /// Clears all state for reuse without reallocating.
-    pub fn reset(&mut self) {
-        self.planes.iter_mut().for_each(|w| *w = 0);
-        self.ones.iter_mut().for_each(|c| *c = 0);
-        self.pending = 0;
-        self.absorbed = 0;
-    }
-
-    /// Absorbs one packed hypervector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] when dimensions differ.
-    pub fn absorb(&mut self, hv: &PackedHypervector) -> Result<()> {
-        if hv.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch { expected: self.dim, actual: hv.dim() });
-        }
-        self.absorb_stream(hv.words().iter().copied());
-        Ok(())
-    }
-
-    /// Absorbs the *binding* `a ⊕ b` of two word buffers without
-    /// materialising it — the fused signature-integration primitive: binding
-    /// a ±1 bundle element with a ±1 signature is a per-dimension sign
-    /// flip, i.e. one XOR folded into the bundling read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` are not both `words_for(dim)` long.
-    pub fn absorb_bound(&mut self, a: &[u64], b: &[u64]) {
-        let nw = words_for(self.dim);
-        assert_eq!(a.len(), nw, "absorb_bound: bad operand length");
-        assert_eq!(b.len(), nw, "absorb_bound: bad operand length");
-        self.absorb_stream(a.iter().zip(b).map(|(&x, &y)| x ^ y));
-    }
-
-    /// The shared absorb core: one binary increment of 64 bit-sliced
-    /// counters per word — XOR is the sum bit, AND the carry into the next
-    /// plane; the carry chain dies after ~2 planes on average.
-    fn absorb_stream(&mut self, words: impl Iterator<Item = u64>) {
-        if self.pending == CSA_CAPACITY {
-            self.flush();
-        }
-        for (w, word) in words.enumerate() {
-            let mut carry = word;
-            let base = w * CSA_PLANES;
-            let mut j = 0usize;
-            while carry != 0 {
-                debug_assert!(j < CSA_PLANES, "plane overflow despite capacity flush");
-                let slot = &mut self.planes[base + j];
-                let next = *slot & carry;
-                *slot ^= carry;
-                carry = next;
-                j += 1;
-            }
-        }
-        self.pending += 1;
-        self.absorbed += 1;
-    }
-
-    /// Folds the pending plane counters into the integer `ones` totals and
-    /// zeroes the planes. Called automatically at capacity and by
-    /// [`counts_into`](Self::counts_into)/[`finish`](Self::finish); callers
-    /// never need it for correctness.
-    pub fn flush(&mut self) {
-        if self.pending == 0 {
-            return;
-        }
-        // Only planes that can be non-zero for `pending` absorbed words.
-        let used = (u32::BITS - self.pending.leading_zeros()) as usize;
-        let nw = words_for(self.dim);
-        for w in 0..nw {
-            let base_bit = w * WORD_BITS;
-            for (j, plane) in
-                self.planes[w * CSA_PLANES..w * CSA_PLANES + used].iter_mut().enumerate()
-            {
-                let mut word = *plane;
-                *plane = 0;
-                let weight = 1i32 << j;
-                while word != 0 {
-                    let b = word.trailing_zeros() as usize;
-                    self.ones[base_bit + b] += weight;
-                    word &= word - 1;
-                }
-            }
-        }
-        self.pending = 0;
-    }
-
-    /// Writes the signed majority counters (`absorbed − 2·ones`, matching
-    /// [`PackedAccumulator::counts`]) into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != dim`.
-    pub fn counts_into(&mut self, out: &mut [i32]) {
-        assert_eq!(out.len(), self.dim, "counts_into: bad output length");
-        self.flush();
-        for (o, &ones) in out.iter_mut().zip(&self.ones) {
-            *o = self.absorbed - 2 * ones;
-        }
-    }
-
-    /// Majority threshold, identical to [`PackedAccumulator::finish`]:
-    /// positive counters → `+1`, negative → `−1`, ties → `+1`.
-    pub fn finish(&mut self) -> PackedHypervector {
-        self.flush();
-        let mut out = PackedHypervector::zeros(self.dim);
-        let absorbed = self.absorbed;
-        let ones = &self.ones;
-        out.fill_with(|i| absorbed - 2 * ones[i] < 0);
-        out
-    }
-}
-
 /// Integer counter accumulator for counter-based majority bundling.
 ///
 /// Binary HDC cannot bundle by addition — the sum of sign bits is not a
@@ -629,6 +361,7 @@ impl PackedAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smore_hdc::bits::BitSliceAccumulator;
     use smore_tensor::init;
 
     fn random_packed(seed: u64, dim: usize) -> PackedHypervector {
@@ -778,19 +511,20 @@ mod tests {
 
     #[test]
     fn bit_slice_accumulator_matches_packed_accumulator() {
+        // The shared SWAR counter (`smore_hdc::bits`) against the per-bit
+        // counters.
         for dim in [64usize, 256, 70, 5, 192] {
             let mut swar = BitSliceAccumulator::new(dim);
             let mut reference = PackedAccumulator::new(dim);
             for seed in 0..10 {
                 let hv = random_packed(seed, dim);
-                swar.absorb(&hv).unwrap();
+                swar.absorb(hv.words());
                 reference.accumulate(&hv).unwrap();
             }
             assert_eq!(swar.absorbed(), 10);
             let mut counts = vec![0i32; dim];
             swar.counts_into(&mut counts);
             assert_eq!(counts.as_slice(), reference.counts(), "dim {dim}");
-            assert_eq!(swar.finish(), reference.finish(), "dim {dim}");
         }
     }
 
@@ -802,7 +536,7 @@ mod tests {
         let mut reference = PackedAccumulator::new(dim);
         for seed in 0..600 {
             let hv = random_packed(seed, dim);
-            swar.absorb(&hv).unwrap();
+            swar.absorb(hv.words());
             reference.accumulate(&hv).unwrap();
         }
         let mut counts = vec![0i32; dim];
@@ -828,16 +562,13 @@ mod tests {
     fn bit_slice_accumulator_reset_reuses_storage() {
         let dim = 192;
         let mut swar = BitSliceAccumulator::new(dim);
-        swar.absorb(&random_packed(40, dim)).unwrap();
+        swar.absorb(random_packed(40, dim).words());
         swar.reset();
         assert_eq!(swar.absorbed(), 0);
         assert_eq!(swar.dim(), dim);
         let mut counts = vec![1i32; dim];
         swar.counts_into(&mut counts);
         assert!(counts.iter().all(|&c| c == 0), "reset clears all counters");
-        // Ties after reset threshold to +1, like a fresh accumulator.
-        assert_eq!(swar.finish(), PackedHypervector::zeros(dim));
-        assert!(swar.absorb(&random_packed(41, 64)).is_err(), "dim mismatch still reported");
     }
 
     #[test]

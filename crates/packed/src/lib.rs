@@ -20,9 +20,11 @@
 //! - [`PackedHypervector`] — the packed representation with XOR binding,
 //!   rotation and popcount Hamming similarity.
 //! - [`PackedAccumulator`] — counter-based majority bundling.
-//! - [`BitSliceAccumulator`] — word-parallel (SWAR) majority bundling
-//!   through carry-save-adder bit planes, ~64× less bundling work than the
-//!   per-bit counters.
+//! - [`BitSliceAccumulator`] — word-parallel (SWAR) bundling through
+//!   carry-save-adder bit planes, ~64× less bundling work than the per-bit
+//!   counters; re-exported from `smore_hdc::bits`, which also holds the
+//!   word rotation, so the dense encoder's exact integer path and this
+//!   crate share one copy of both kernels.
 //! - [`PackedNgramEncoder`] — the multi-sensor temporal encoder of §3.3 on
 //!   packed codewords, exposing its integer accumulator for exact
 //!   sign-of-dense thresholding; [`EncoderScratch`] makes the hot encode
@@ -67,10 +69,9 @@ mod residual;
 
 pub use classifier::PackedClassifier;
 pub use encoder::{EncoderScratch, PackedNgramEncoder};
-pub use hypervector::{
-    words_for, BitSliceAccumulator, PackedAccumulator, PackedHypervector, WORD_BITS,
-};
+pub use hypervector::{PackedAccumulator, PackedHypervector};
 pub use residual::ResidualPacked;
+pub use smore_hdc::bits::{words_for, BitSliceAccumulator, WORD_BITS};
 
 /// Result alias; the packed backend shares the dense HDC error vocabulary.
 pub type Result<T> = std::result::Result<T, smore_hdc::HdcError>;

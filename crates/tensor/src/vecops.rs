@@ -56,6 +56,13 @@ pub fn norm(a: &[f32]) -> f32 {
 /// similarity value for the HDC update rules (a zero class hypervector is
 /// maximally dissimilar to everything).
 ///
+/// The dot product and both squared norms are each summed in `f64` in
+/// index order, and the result is `dot / (√‖a‖² · √‖b‖²)` rounded to
+/// `f32`. That arithmetic is a contract: the class-blocked scorer of
+/// `smore_hdc`'s classifier caches the squared norms and sweeps several
+/// classes at once, but keeps every sum in this order, so its scores equal
+/// this function's bit for bit.
+///
 /// # Panics
 ///
 /// Panics if `a.len() != b.len()`.
