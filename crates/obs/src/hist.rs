@@ -104,8 +104,8 @@ impl AtomicHistogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records `n` samples of the same value — how batch-mean costs are
-    /// charged (e.g. a coalesced batch's per-window encode time).
+    /// Records `n` samples of the same value — how mean costs are charged
+    /// (e.g. one reply burst's per-frame write time).
     pub fn record_n(&self, value: u64, n: u64) {
         if n == 0 {
             return;

@@ -4,15 +4,14 @@
 //!
 //! - **Synchronous** ([`predict`](ServeClient::predict),
 //!   [`ingest`](ServeClient::ingest), [`ping`](ServeClient::ping)): one
-//!   request in flight, the response returned in place. Simple, but the
-//!   server's micro-batch coalescing sees at most one request from this
-//!   connection at a time.
+//!   request in flight, the response returned in place. Simple, but each
+//!   call pays a full network round trip.
 //! - **Pipelined** ([`send_predict`](ServeClient::send_predict) /
 //!   [`send_ingest`](ServeClient::send_ingest), then
 //!   [`flush`](ServeClient::flush) and [`recv`](ServeClient::recv)):
 //!   many requests in flight, responses correlated by the echoed request
-//!   id. This is what the load generator uses — coalescing only batches
-//!   what is actually concurrent.
+//!   id. This is what the load generator uses: the server's workers stay
+//!   busy without waiting on the client.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -14,11 +14,11 @@
 //!   frames answered with typed errors, never a panic or an unbounded
 //!   allocation.
 //! - [`server`] — tenants sharded across workers by tenant-id hash (a
-//!   tenant's adaptation state and scratch stay core-local), cross-tenant
-//!   micro-batch coalescing of shared-base predicts into one
-//!   [`Predictor::predict_batch`](smore::Predictor::predict_batch) call,
-//!   and bounded per-worker queues that answer `Overloaded` instead of
-//!   buffering without bound.
+//!   tenant's adaptation state and scratch stay core-local), one job
+//!   served at a time (a predict for a tenant with no personal state runs
+//!   on the shared base through the worker's scratch, everything else in
+//!   the tenant's session), and bounded per-worker queues that answer
+//!   `Overloaded` instead of buffering without bound.
 //! - [`client`] — a blocking client with synchronous and pipelined
 //!   calling styles.
 //! - Telemetry throughout (built on `smore_obs`): every request is timed

@@ -18,9 +18,9 @@
 //! answered with [`ErrorCode::TooLarge`], never allocated).
 //!
 //! Each request carries a client-chosen `request_id`, echoed verbatim in
-//! the response, so clients can pipeline many requests per connection —
-//! the server's micro-batch coalescing depends on that depth. Responses
-//! to one connection may interleave with protocol errors but every
+//! the response, so clients can pipeline many requests per connection.
+//! Responses to one connection may come back out of order (tenants hash
+//! to different workers) and interleave with protocol errors, but every
 //! request gets exactly one response frame.
 
 use std::io::{self, Read, Write};

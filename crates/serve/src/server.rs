@@ -1,5 +1,5 @@
-//! The serving front-end: accept loop, per-tenant sharding, micro-batch
-//! coalescing and admission control.
+//! The serving front-end: accept loop, per-tenant sharding, one serving
+//! path per job and admission control.
 //!
 //! # Architecture
 //!
@@ -26,13 +26,13 @@
 //!   tenants are evicted — personalized ones suspend to compact `DeltaV1`
 //!   delta artifacts — and lazily rehydrated on their next request. A
 //!   tenant-id scan can no longer grow a worker's memory without bound.
-//! - **Coalescing.** A worker drains its queue into a micro-batch (flush
-//!   on [`ServeConfig::batch_max`] or [`ServeConfig::batch_deadline`]).
-//!   Predict requests for tenants still serving the *shared base
-//!   snapshot* — the overwhelming majority in a real fleet — are answered
-//!   by **one** [`Predictor::predict_batch`] call across tenants;
-//!   personalized tenants and stateful ingests are served individually
-//!   through their own sessions.
+//! - **One job at a time.** A worker serves each job as it dequeues it.
+//!   A predict for a tenant with no personal state (neither
+//!   resident-personalized nor archived) — the overwhelming majority in a
+//!   real fleet — is answered from the shared base snapshot through the
+//!   worker's own [`ServeScratch`], without creating a session. Every
+//!   other job goes through that tenant's session. Serving is almost all
+//!   per-window encoding, so there is nothing to amortize across tenants.
 //! - **Backpressure.** Worker queues are bounded `sync_channel`s. When a
 //!   shard's queue is full the connection thread answers
 //!   [`ErrorCode::Overloaded`] immediately instead of buffering without
@@ -50,12 +50,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smore::{ServeScratch, SmoreError};
+use smore::{QuantizedSmore, ServeScratch, SmoreError};
 use smore_obs::{
     debug, error, warn, Event, EventJournal, EventKind, Stage, StageSet, StatsSnapshot,
 };
@@ -73,6 +73,10 @@ use crate::Result;
 /// attached (power of two; holds a full enrolment storm's events).
 const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
+/// How long an idle worker blocks before re-checking the stop flag, and
+/// the longest a busy worker goes without publishing its gauges.
+const IDLE_POLL: Duration = Duration::from_millis(25);
+
 fn nanos_of(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
@@ -86,11 +90,6 @@ pub struct ServeConfig {
     /// Bounded depth of each worker's queue — the admission-control
     /// limit. A full queue answers `Overloaded`.
     pub queue_capacity: usize,
-    /// Micro-batch flush size; `1` disables coalescing.
-    pub batch_max: usize,
-    /// Micro-batch flush deadline: how long a worker waits for more
-    /// requests after the first one before serving a short batch.
-    pub batch_deadline: Duration,
     /// Resident [`TenantSession`](smore_stream::TenantSession)s each
     /// worker keeps before LRU-evicting — the bound that fixes the old
     /// grow-forever session map.
@@ -123,11 +122,11 @@ pub struct ServeConfig {
 /// production config never sets them.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosConfig {
-    /// Panic the owning worker when a batch contains this tenant —
+    /// Panic the owning worker when it serves a job for this tenant —
     /// exercises the supervision/respawn path.
     pub panic_on_tenant: Option<u64>,
-    /// Sleep this long per batched job before serving — makes queues
-    /// back up deterministically to exercise `Overloaded` retry paths.
+    /// Sleep this long per job before serving it — makes queues back up
+    /// deterministically to exercise `Overloaded` retry paths.
     pub stall_per_job: Option<Duration>,
 }
 
@@ -137,8 +136,6 @@ impl Default for ServeConfig {
         Self {
             workers: cores.max(2),
             queue_capacity: 256,
-            batch_max: 32,
-            batch_deadline: Duration::from_micros(500),
             max_sessions_per_shard: 4096,
             max_delta_bytes_per_shard: 64 << 20,
             state_dir: None,
@@ -151,11 +148,11 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     fn validate(&self) -> Result<()> {
-        if self.workers == 0 || self.queue_capacity == 0 || self.batch_max == 0 {
+        if self.workers == 0 || self.queue_capacity == 0 {
             return Err(SmoreError::InvalidConfig {
                 what: format!(
-                    "workers ({}), queue_capacity ({}) and batch_max ({}) must all be >= 1",
-                    self.workers, self.queue_capacity, self.batch_max
+                    "workers ({}) and queue_capacity ({}) must both be >= 1",
+                    self.workers, self.queue_capacity
                 ),
             });
         }
@@ -179,10 +176,6 @@ impl ServeConfig {
 pub struct ServerMetrics {
     /// Requests answered with a prediction.
     pub served: AtomicU64,
-    /// Micro-batches answered through one shared-base `predict_batch`.
-    pub coalesced_batches: AtomicU64,
-    /// Windows inside those coalesced batches.
-    pub coalesced_windows: AtomicU64,
     /// Requests refused by admission control.
     pub overloaded: AtomicU64,
     /// Frames answered with a protocol error.
@@ -228,9 +221,6 @@ struct Job {
     reply: Sender<Vec<u8>>,
     /// When admission control accepted the job — `queue_wait` starts here.
     accepted: Instant,
-    /// When the owning worker dequeued it — `coalesce_wait` starts here.
-    /// Initialised to `accepted`; overwritten at dequeue.
-    dequeued: Instant,
 }
 
 enum JobKind {
@@ -323,8 +313,8 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// [`SmoreError::InvalidConfig`] for a zero worker count, queue capacity
-/// or batch size; [`SmoreError::Io`] when
+/// [`SmoreError::InvalidConfig`] for a zero worker count or queue
+/// capacity; [`SmoreError::Io`] when
 /// [`ServeConfig::state_dir`] cannot be created;
 /// [`SmoreError::Resource`] when the OS refuses a server thread (every
 /// already-spawned thread is stopped and joined before returning).
@@ -414,12 +404,7 @@ pub fn serve(
                 break;
             }
             let Ok(stream) = stream else { continue };
-            // A stalled peer trips these and the connection closes
-            // instead of pinning its threads forever.
-            if let Some(timeout) = io_timeout {
-                let _ = stream.set_read_timeout(Some(timeout));
-                let _ = stream.set_write_timeout(Some(timeout));
-            }
+            configure_stream(&stream, io_timeout);
             ServerMetrics::bump(&accept_metrics.connections);
             let queues = queues.clone();
             let metrics = Arc::clone(&accept_metrics);
@@ -448,6 +433,18 @@ pub fn serve(
         accept_thread: Some(accept_thread),
         workers: worker_handles,
     })
+}
+
+/// Per-connection socket setup. Nagle is off, so a reply leaves as soon
+/// as the writer flushes it instead of waiting for the peer's delayed
+/// ACK. With `io_timeout` set, a stalled peer trips the timeout and the
+/// connection closes instead of pinning its threads forever.
+fn configure_stream(stream: &TcpStream, io_timeout: Option<Duration>) {
+    let _ = stream.set_nodelay(true);
+    if let Some(timeout) = io_timeout {
+        let _ = stream.set_read_timeout(Some(timeout));
+        let _ = stream.set_write_timeout(Some(timeout));
+    }
 }
 
 /// Stable tenant → shard assignment.
@@ -561,15 +558,8 @@ fn connection_loop(
         };
 
         let shard = shard_of(tenant_id, queues.len());
-        let accepted = Instant::now();
-        let job = Job {
-            request_id,
-            tenant_id,
-            kind,
-            reply: reply_tx.clone(),
-            accepted,
-            dequeued: accepted,
-        };
+        let job =
+            Job { request_id, tenant_id, kind, reply: reply_tx.clone(), accepted: Instant::now() };
         // smore-lint: allow(panic_path) shard = hash % queues.len(), always in range
         match queues[shard].try_send(job) {
             Ok(()) => {}
@@ -611,7 +601,7 @@ fn writer_loop(stream: TcpStream, replies: Receiver<Vec<u8>>, telemetry: &Teleme
         if writer.write_all(&frame).is_err() {
             return;
         }
-        // Coalesce any already-queued responses into one flush.
+        // Write any already-queued responses under the same flush.
         while let Ok(frame) = replies.try_recv() {
             if writer.write_all(&frame).is_err() {
                 return;
@@ -730,10 +720,19 @@ struct ForwardedCounters {
     write_failures: u64,
 }
 
-fn forward_store_counters(
+/// Publishes this shard's store counters (as diffs into [`ServerMetrics`])
+/// and overwrites its occupancy gauges, walking only the *resident*
+/// sessions — an evicted session stops counting the moment it leaves the
+/// store, so the gauges can never go stale on session drop. The walk is
+/// O(resident sessions), so the worker publishes only before it blocks on
+/// an empty queue and at least every [`IDLE_POLL`] under sustained load,
+/// never per request.
+fn publish(
     seen: &mut ForwardedCounters,
     sessions: &SessionStore,
     metrics: &ServerMetrics,
+    telemetry: &Telemetry,
+    shard: usize,
 ) {
     let forward = |counter: &AtomicU64, now: u64, seen: &mut u64| {
         // ordering: Relaxed — monotone report counter; `seen` lives on the
@@ -751,14 +750,7 @@ fn forward_store_counters(
         sessions.state_write_failures(),
         &mut seen.write_failures,
     );
-}
 
-/// Occupancy gauges: overwrite this shard's slots, walking only the
-/// *resident* sessions — an evicted session stops counting the moment
-/// it leaves the store, so the gauges can never go stale on session
-/// drop. One pass costs microseconds against a batch's milliseconds of
-/// scoring.
-fn refresh_gauges(telemetry: &Telemetry, shard: usize, sessions: &SessionStore) {
     // smore-lint: allow(panic_path) telemetry allocates one gauge slot per shard at startup
     let gauges = &telemetry.gauges[shard];
     let mut personalized = 0u64;
@@ -782,10 +774,10 @@ fn refresh_gauges(telemetry: &Telemetry, shard: usize, sessions: &SessionStore) 
     gauges.resident_delta_bytes.store(sessions.resident_delta_bytes() as u64, Ordering::Relaxed);
 }
 
-/// One shard: owns every hashed-here tenant's session, coalesces the
-/// queue into micro-batches, serves, replies. On shutdown (with `drain`
-/// still set) it serves the jobs already queued, then suspends every
-/// resident session to the state dir so nothing personalized is lost.
+/// One shard: owns every hashed-here tenant's session and serves its
+/// queue one job at a time. On shutdown (with `drain` still set) it
+/// serves the jobs already queued, then suspends every resident session
+/// to the state dir so nothing personalized is lost.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     engine: &Arc<ServeEngine>,
@@ -798,58 +790,51 @@ fn worker_loop(
     drain: &Arc<AtomicBool>,
 ) {
     let mut sessions = open_store(engine, config, shard);
+    let base = engine.base_snapshot();
     let mut scratch = ServeScratch::new();
-    let mut batch: Vec<Job> = Vec::with_capacity(config.batch_max);
     // smore-lint: allow(panic_path) telemetry allocates one stage set per shard at startup
     let stages = &telemetry.shards[shard];
     let mut seen = ForwardedCounters::default();
     // Publish recovery results immediately — a restarted server must show
     // honest `state_recovered` gauges before any traffic arrives.
-    forward_store_counters(&mut seen, &sessions, metrics);
-    refresh_gauges(telemetry, shard, &sessions);
-    let dequeue = |stages: &StageSet, mut job: Job| -> Job {
-        stages.record(Stage::QueueWait, nanos_of(job.accepted.elapsed()));
-        job.dequeued = Instant::now();
-        job
-    };
+    publish(&mut seen, &sessions, metrics, telemetry, shard);
+    let mut published = Instant::now();
 
     'serving: loop {
-        // Wait for the first job, re-checking the stop flag so shutdown
-        // never deadlocks on queue senders still held by live connection
-        // threads. A closed queue also means shutdown.
-        let first = loop {
-            // ordering: SeqCst — pairs with the SeqCst stop store in
-            // stop_and_join; polled at most every 25 ms while idle.
-            if stop.load(Ordering::SeqCst) {
-                break 'serving;
-            }
-            match queue.recv_timeout(Duration::from_millis(25)) {
-                Ok(job) => break job,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break 'serving,
+        // ordering: SeqCst — pairs with the SeqCst stop store in
+        // stop_and_join; one load per job, dwarfed by the encode.
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let job = match queue.try_recv() {
+            Ok(job) => job,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                // About to block: publish first, so an idle shard's
+                // gauges are current.
+                publish(&mut seen, &sessions, metrics, telemetry, shard);
+                published = Instant::now();
+                // Wait for the next job, re-checking the stop flag so
+                // shutdown never deadlocks on queue senders still held by
+                // live connection threads. A closed queue also means
+                // shutdown.
+                loop {
+                    match queue.recv_timeout(IDLE_POLL) {
+                        Ok(job) => break job,
+                        // ordering: SeqCst — as above; polled every
+                        // IDLE_POLL while idle.
+                        Err(RecvTimeoutError::Timeout) if !stop.load(Ordering::SeqCst) => {}
+                        Err(_) => break 'serving,
+                    }
+                }
             }
         };
-        batch.push(dequeue(stages, first));
-        if config.batch_max > 1 {
-            let deadline = Instant::now() + config.batch_deadline;
-            while batch.len() < config.batch_max {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match queue.recv_timeout(deadline - now) {
-                    Ok(job) => batch.push(dequeue(stages, job)),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
+        inject_chaos(config, &job, shard);
+        serve_job(&base, &mut sessions, &mut scratch, job, metrics, stages);
+        if published.elapsed() >= IDLE_POLL {
+            publish(&mut seen, &sessions, metrics, telemetry, shard);
+            published = Instant::now();
         }
-        inject_chaos(config, &batch, shard);
-        serve_batch(engine, &mut sessions, &mut scratch, &mut batch, metrics, stages);
-        batch.clear();
-
-        forward_store_counters(&mut seen, &sessions, metrics);
-        refresh_gauges(telemetry, shard, &sessions);
     }
 
     // Graceful drain: finish the work already admitted, then suspend
@@ -861,15 +846,7 @@ fn worker_loop(
     // graceful drain.
     if drain.load(Ordering::SeqCst) && sessions.persists() {
         while let Ok(job) = queue.try_recv() {
-            batch.push(dequeue(stages, job));
-            if batch.len() >= config.batch_max {
-                serve_batch(engine, &mut sessions, &mut scratch, &mut batch, metrics, stages);
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            serve_batch(engine, &mut sessions, &mut scratch, &mut batch, metrics, stages);
-            batch.clear();
+            serve_job(&base, &mut sessions, &mut scratch, job, metrics, stages);
         }
         match sessions.drain() {
             Ok(persisted) => {
@@ -880,184 +857,109 @@ fn worker_loop(
                 error!("serve", "worker {shard} drain flush failed: {e}");
             }
         }
-        forward_store_counters(&mut seen, &sessions, metrics);
-        refresh_gauges(telemetry, shard, &sessions);
     }
+    publish(&mut seen, &sessions, metrics, telemetry, shard);
 }
 
-/// Applies the [`ChaosConfig`] hooks to a collected batch.
-fn inject_chaos(config: &ServeConfig, batch: &[Job], shard: usize) {
-    if let Some(victim) = config.chaos.panic_on_tenant {
-        if batch.iter().any(|job| job.tenant_id == victim) {
-            // smore-lint: allow(panic_path) deliberate fault injection for the supervision harness; production configs never set it
-            panic!("chaos: injected panic serving tenant {victim} on shard {shard}");
-        }
+/// Applies the [`ChaosConfig`] hooks to a dequeued job.
+fn inject_chaos(config: &ServeConfig, job: &Job, shard: usize) {
+    if config.chaos.panic_on_tenant == Some(job.tenant_id) {
+        // smore-lint: allow(panic_path) deliberate fault injection for the supervision harness; production configs never set it
+        panic!("chaos: injected panic serving tenant {} on shard {shard}", job.tenant_id);
     }
     if let Some(stall) = config.chaos.stall_per_job {
-        std::thread::sleep(stall.saturating_mul(u32::try_from(batch.len()).unwrap_or(u32::MAX)));
+        std::thread::sleep(stall);
     }
 }
 
-fn prediction_response(p: &smore::Prediction, buffered: bool, adapted: bool) -> Response {
-    Response::Prediction(WirePrediction {
+fn prediction(p: &smore::Prediction, buffered: bool, adapted: bool) -> WirePrediction {
+    WirePrediction {
         label: p.label as u32,
         is_ood: p.is_ood,
         delta_max: p.delta_max,
         best_domain: p.best_domain as u32,
         buffered,
         adapted,
-    })
+    }
 }
 
-fn model_error_response(err: &SmoreError) -> Response {
-    Response::Error { code: ErrorCode::Rejected, message: err.to_string() }
-}
-
-/// Serves one coalesced micro-batch. Shared-base predicts go through one
-/// `predict_batch`; everything else is served per tenant session.
-fn serve_batch(
-    engine: &Arc<ServeEngine>,
+/// Serves one job and sends its reply. A predict for a tenant with no
+/// personal state — neither a resident personalized session nor an
+/// archived one, which must rehydrate — is answered from the shared base
+/// through the worker's scratch and creates no session; every other job
+/// runs in the tenant's session. Encode and score are recorded from
+/// whichever scratch served the window.
+fn serve_job(
+    base: &QuantizedSmore,
     sessions: &mut SessionStore,
     scratch: &mut ServeScratch,
-    batch: &mut Vec<Job>,
-    metrics: &Arc<ServerMetrics>,
+    job: Job,
+    metrics: &ServerMetrics,
     stages: &StageSet,
 ) {
-    // Every job's coalesce wait ends here, whichever path serves it.
-    for job in batch.iter() {
-        stages.record(Stage::CoalesceWait, nanos_of(job.dequeued.elapsed()));
-    }
-
-    // Partition: a Predict for a tenant with no personal state is
-    // answerable from the shared base — coalescable across tenants. An
-    // evicted-but-personalized tenant has *archived* state, so it must
-    // take the stateful path and rehydrate; only a tenant that is neither
-    // resident-personalized nor archived is truly on the base. Base jobs
-    // split into lockstep reply/window vectors, so the serving paths
-    // below re-match nothing (no unreachable arms) and the batch call
-    // borrows the windows without cloning them.
-    let mut base_replies: Vec<(u64, Sender<Vec<u8>>)> = Vec::new();
-    let mut base_windows: Vec<Matrix> = Vec::new();
-    let mut stateful: Vec<Job> = Vec::new();
-    for job in batch.drain(..) {
-        let on_base = matches!(job.kind, JobKind::Predict(_))
-            && match sessions.get(job.tenant_id) {
-                Some(s) => !s.is_personalized(),
-                None => !sessions.has_archived(job.tenant_id),
-            };
-        match job {
-            Job { request_id, kind: JobKind::Predict(window), reply, .. } if on_base => {
-                base_replies.push((request_id, reply));
-                base_windows.push(window);
-            }
-            job => stateful.push(job),
-        }
-    }
-
-    if !base_windows.is_empty() {
-        let base = engine.base_snapshot();
-        let serve_one = |window: &Matrix, scratch: &mut ServeScratch| {
-            let response = match base.predict_window_with(window, scratch) {
-                Ok(p) => {
-                    ServerMetrics::bump(&metrics.served);
-                    prediction_response(p, false, false)
-                }
-                Err(e) => model_error_response(&e),
-            };
-            if matches!(response, Response::Prediction(_)) {
-                let t = scratch.timings();
-                stages.record(Stage::Encode, t.encode_nanos);
-                stages.record(Stage::Score, t.score_nanos);
-            }
-            response
-        };
-        if let ([(request_id, reply)], [window]) =
-            (base_replies.as_slice(), base_windows.as_slice())
-        {
-            // No cross-tenant coalescing possible; serve through the
-            // worker scratch without the batch machinery.
-            let response = serve_one(window, scratch);
-            let _ = reply.send(encode_response(*request_id, &response));
-        } else {
-            match base.predict_batch_timed(&base_windows) {
-                Ok((predictions, timings)) => {
-                    ServerMetrics::bump(&metrics.coalesced_batches);
-                    // ordering: Relaxed — monotone report counters (see bump).
-                    metrics
-                        .coalesced_windows
-                        .fetch_add(base_windows.len() as u64, Ordering::Relaxed);
-                    metrics.served.fetch_add(base_windows.len() as u64, Ordering::Relaxed);
-                    // Charge each window the batch mean of its stage — the
-                    // per-window split inside one parallel batch call is
-                    // not observable, the totals are.
-                    let n = base_windows.len() as u64;
-                    stages.record_n(Stage::Encode, timings.encode_nanos / n, n);
-                    stages.record_n(Stage::Score, timings.score_nanos / n, n);
-                    for ((request_id, reply), p) in base_replies.iter().zip(&predictions) {
-                        let _ = reply.send(encode_response(
-                            *request_id,
-                            &prediction_response(p, false, false),
-                        ));
-                    }
-                }
-                Err(_) => {
-                    // One bad window fails a whole batch call; fall back
-                    // to per-window serving so its neighbours still get
-                    // answers and only the offender gets the error.
-                    for ((request_id, reply), window) in base_replies.iter().zip(&base_windows) {
-                        let response = serve_one(window, scratch);
-                        let _ = reply.send(encode_response(*request_id, &response));
-                    }
-                }
-            }
-        }
-    }
-
-    for job in stateful {
-        let Job { request_id, tenant_id, kind, reply, .. } = job;
+    stages.record(Stage::QueueWait, nanos_of(job.accepted.elapsed()));
+    let Job { request_id, tenant_id, kind, reply, .. } = job;
+    let on_base = match sessions.get(tenant_id) {
+        Some(session) => !session.is_personalized(),
+        None => !sessions.has_archived(tenant_id),
+    };
+    let served = match kind {
+        JobKind::Predict(window) if on_base => base
+            .predict_window_with(&window, scratch)
+            .map(|p| prediction(p, false, false))
+            .map(|wire| (wire, scratch.timings())),
         // The store makes the session resident first (fresh off the base,
         // or rehydrated from its archived delta), runs the closure, then
-        // re-enforces the residency caps against the other tenants.
-        let served = sessions.with_session(tenant_id, |session| {
-            let response = match kind {
-                JobKind::Predict(window) => match session.predict_window(&window) {
-                    Ok(p) => {
-                        ServerMetrics::bump(&metrics.served);
-                        prediction_response(p, false, false)
+        // re-enforces the residency caps against the other tenants. A
+        // failed rehydration (corrupt archive, base mismatch) refuses
+        // this tenant only.
+        kind => sessions
+            .with_session(tenant_id, |session| {
+                let wire = match kind {
+                    JobKind::Predict(window) => {
+                        session.predict_window(&window).map(|p| prediction(p, false, false))?
                     }
-                    Err(e) => model_error_response(&e),
-                },
-                JobKind::Ingest { label, window } => {
-                    let outcome = match label {
-                        Some(l) => session.ingest_labelled(&window, l as usize),
-                        None => session.ingest(&window),
-                    };
-                    match outcome {
-                        Ok(o) => {
-                            ServerMetrics::bump(&metrics.served);
-                            if o.adapted.is_some() {
-                                ServerMetrics::bump(&metrics.adaptations);
-                            }
-                            prediction_response(&o.prediction, o.buffered, o.adapted.is_some())
-                        }
-                        Err(e) => model_error_response(&e),
+                    JobKind::Ingest { label, window } => {
+                        let o = match label {
+                            Some(l) => session.ingest_labelled(&window, l as usize),
+                            None => session.ingest(&window),
+                        }?;
+                        prediction(&o.prediction, o.buffered, o.adapted.is_some())
                     }
-                }
-            };
-            let timings =
-                matches!(response, Response::Prediction(_)).then(|| session.last_timings());
-            (response, timings)
-        });
-        let (response, timings) = match served {
-            Ok(out) => out,
-            // Rehydration failed (corrupt archive, base mismatch): a typed
-            // refusal for this tenant; every other tenant keeps serving.
-            Err(e) => (model_error_response(&e), None),
-        };
-        if let Some(t) = timings {
-            stages.record(Stage::Encode, t.encode_nanos);
-            stages.record(Stage::Score, t.score_nanos);
+                };
+                Ok::<_, SmoreError>((wire, session.last_timings()))
+            })
+            .and_then(|served| served),
+    };
+    let response = match served {
+        Ok((wire, timings)) => {
+            ServerMetrics::bump(&metrics.served);
+            if wire.adapted {
+                ServerMetrics::bump(&metrics.adaptations);
+            }
+            stages.record(Stage::Encode, timings.encode_nanos);
+            stages.record(Stage::Score, timings.score_nanos);
+            Response::Prediction(wire)
         }
-        let _ = reply.send(encode_response(request_id, &response));
+        Err(e) => Response::Error { code: ErrorCode::Rejected, message: e.to_string() },
+    };
+    let _ = reply.send(encode_response(request_id, &response));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn configured_streams_have_nagle_off_and_the_timeout_set() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "a fresh socket starts with Nagle on");
+        let timeout = Duration::from_millis(1500);
+        configure_stream(&accepted, Some(timeout));
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(timeout));
+        assert_eq!(accepted.write_timeout().unwrap(), Some(timeout));
     }
 }

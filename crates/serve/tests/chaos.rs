@@ -186,11 +186,10 @@ fn kill_without_shutdown_recovers_evicted_state_from_disk() {
 fn worker_panic_is_supervised_and_serving_continues() {
     // One worker with an injected panic on tenant 666: the supervisor
     // must respawn it with the queue intact, journal the crash, and keep
-    // every other tenant serving. batch_max = 1 keeps the victim's batch
-    // to itself so no innocent request shares its dropped replies.
+    // every other tenant serving. The worker serves one job at a time, so
+    // only the victim's own reply is lost with the panic.
     let (server, ds) = start(ServeConfig {
         workers: 1,
-        batch_max: 1,
         chaos: ChaosConfig { panic_on_tenant: Some(666), ..ChaosConfig::default() },
         ..ServeConfig::default()
     });
@@ -350,8 +349,6 @@ fn overload_retry_rides_out_a_burst() {
     let (server, ds) = start(ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        batch_max: 1,
-        batch_deadline: Duration::from_micros(1),
         chaos: ChaosConfig {
             stall_per_job: Some(Duration::from_millis(1)),
             ..ChaosConfig::default()

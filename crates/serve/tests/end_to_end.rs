@@ -3,6 +3,7 @@
 //! through `Ingest`, and admission control must answer `Overloaded`
 //! instead of buffering without bound.
 
+use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -14,6 +15,7 @@ use smore_serve::{
     StatsSnapshot,
 };
 use smore_stream::ServeEngine;
+use smore_tensor::Matrix;
 
 /// One trained fleet shared by every test in this file (training
 /// dominates test wall-clock; the engine itself is immutable — tenant
@@ -61,38 +63,50 @@ fn wire_predictions_match_direct_serving() {
 }
 
 #[test]
-fn pipelined_predicts_coalesce_into_shared_base_batches() {
-    let (server, ds) = start(ServeConfig {
-        workers: 1,
-        batch_max: 16,
-        batch_deadline: Duration::from_millis(5),
-        ..ServeConfig::default()
-    });
+fn pipelined_burst_on_one_worker_is_bit_exact_and_isolates_a_bad_window() {
+    // One worker, one connection, a pipelined burst across many tenants
+    // with no personal state: every answer must equal direct base serving
+    // bit for bit. One window in the middle decodes but has the wrong
+    // channel count; only its id is refused.
+    let (server, ds) = start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let (_, engine) = fleet();
+    let base = engine.base_snapshot();
 
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
-    let total = 64usize;
-    let mut expected_ids = Vec::new();
+    let total = 96usize;
+    let good = ds.window(0);
+    let bad = Matrix::zeros(good.rows(), good.cols() + 1);
+    let bad_at = total / 2;
+    let mut expected = HashMap::new();
     for i in 0..total {
-        let id =
-            client.send_predict(1000 + i as u64, ds.window(i % ds.len())).expect("queue predict");
-        expected_ids.push(id);
+        let window = if i == bad_at { &bad } else { ds.window(i % ds.len()) };
+        let id = client.send_predict(1000 + i as u64, window).expect("queue predict");
+        expected.insert(id, i);
     }
     client.flush().expect("flush");
-    let mut answered = 0usize;
-    while answered < total {
+    for _ in 0..total {
         let (id, response) = client.recv().expect("response");
-        assert!(expected_ids.contains(&id));
-        assert!(matches!(response, Response::Prediction(_)), "got {response:?}");
-        answered += 1;
+        let i = expected.remove(&id).expect("each id is answered exactly once");
+        if i == bad_at {
+            assert!(
+                matches!(response, Response::Error { code: ErrorCode::Rejected, .. }),
+                "the malformed window must be rejected, got {response:?}"
+            );
+            continue;
+        }
+        let Response::Prediction(wire) = response else {
+            panic!("window {i} must get a prediction, got {response:?}");
+        };
+        let direct = base.predict_window(ds.window(i % ds.len())).expect("direct predict");
+        assert_eq!(wire.label as usize, direct.label, "window {i}");
+        assert_eq!(wire.is_ood, direct.is_ood, "window {i}");
+        assert_eq!(wire.best_domain as usize, direct.best_domain, "window {i}");
+        assert_eq!(wire.delta_max.to_bits(), direct.delta_max.to_bits(), "window {i}");
+        assert!(!wire.buffered && !wire.adapted);
     }
-
-    let m = server.metrics();
-    // ordering: Relaxed — read after every pipelined reply arrived, so
-    // the worker's bumps are already ordered before these loads.
-    let batches = m.coalesced_batches.load(std::sync::atomic::Ordering::Relaxed);
-    let windows = m.coalesced_windows.load(std::sync::atomic::Ordering::Relaxed);
-    assert!(batches > 0, "pipelined same-connection predicts must coalesce");
-    assert!(windows > batches, "coalesced batches must hold more than one window each");
+    // ordering: Relaxed — every reply arrived before this read.
+    let served = server.metrics().served.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(served, total as u64 - 1, "every window but the malformed one was served");
     server.shutdown();
 }
 
@@ -163,8 +177,11 @@ fn stats_snapshot_accounts_for_served_requests() {
     assert_eq!(stats.gauge("workers"), Some(2.0));
 
     // Per-stage histograms: every predict passes once through each
-    // pipeline stage, so the stage counts reconcile with the counter.
-    for stage in ["encode", "score", "queue_wait", "coalesce_wait"] {
+    // worker stage, so the stage counts reconcile with the counter. The
+    // snapshot carries exactly the five pipeline stages.
+    let names: Vec<&str> = stats.stages.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["decode", "queue_wait", "encode", "score", "reply"]);
+    for stage in ["encode", "score", "queue_wait"] {
         let h = stats.stage(stage).unwrap_or_else(|| panic!("stage {stage} present"));
         assert_eq!(h.count, total, "stage {stage} must see every predict exactly once");
         assert!(h.quantile(0.50) <= h.quantile(0.99), "stage {stage} quantiles ordered");
@@ -187,13 +204,8 @@ fn stats_snapshot_accounts_for_served_requests() {
 fn stats_never_shed_under_overload() {
     // Same saturation setup as the overload test: the Stats request must
     // be answered inline on the connection thread even while workers shed.
-    let (server, ds) = start(ServeConfig {
-        workers: 1,
-        queue_capacity: 1,
-        batch_max: 1,
-        batch_deadline: Duration::from_micros(1),
-        ..ServeConfig::default()
-    });
+    let (server, ds) =
+        start(ServeConfig { workers: 1, queue_capacity: 1, ..ServeConfig::default() });
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     let total = 300usize;
@@ -222,16 +234,11 @@ fn stats_never_shed_under_overload() {
 
 #[test]
 fn full_queue_answers_overloaded_not_oom() {
-    // One worker, a queue of one, no coalescing: a pipelined burst must
+    // One worker and a queue of one: a pipelined burst must
     // overflow admission control and get explicit Overloaded responses
     // while every request still gets exactly one answer.
-    let (server, ds) = start(ServeConfig {
-        workers: 1,
-        queue_capacity: 1,
-        batch_max: 1,
-        batch_deadline: Duration::from_micros(1),
-        ..ServeConfig::default()
-    });
+    let (server, ds) =
+        start(ServeConfig { workers: 1, queue_capacity: 1, ..ServeConfig::default() });
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     let total = 400usize;
@@ -260,7 +267,7 @@ fn full_queue_answers_overloaded_not_oom() {
     server.shutdown();
 }
 
-/// Workers publish gauges after replying, so a scrape can race one batch
+/// Workers publish gauges after replying, so a scrape can race one job
 /// behind — poll until the condition holds (or fail loudly).
 fn scrape_until(
     client: &mut ServeClient,
